@@ -1267,7 +1267,7 @@ pub fn e9_cache_contention(scale: Scale) -> Table {
 }
 
 // ---------------------------------------------------------------------
-// E10 — the async I/O engine: read-ahead scan + query-during-ingest.
+// E10 — the background job engine: read-ahead scan + query-during-ingest.
 // ---------------------------------------------------------------------
 
 /// Per-read latency E10 charges the scan device. Reads overlap (no
@@ -1301,13 +1301,10 @@ pub fn e10_cold_scan(blocks: u64, engine_on: bool) -> (Duration, hfad_storage::C
         blocks as usize,
     ));
     let engine = engine_on.then(|| {
-        let engine = Engine::with_config(
-            device,
-            EngineConfig {
-                workers: 8,
-                ..Default::default()
-            },
-        );
+        let engine = Engine::with_config(EngineConfig {
+            workers: 8,
+            ..Default::default()
+        });
         EnginePrefetcher::attach(Arc::clone(&engine), &cache, E10_RA_WINDOW, E10_RA_TRIGGER);
         engine
     });
@@ -1357,7 +1354,7 @@ pub fn e10_query_during_ingest(
 ) -> (Duration, u64, Duration, Duration) {
     let seed_docs = docs / 4;
     let index = e10_fulltext(seed_docs);
-    let engine = engine_on.then(|| Engine::new(Arc::new(MemDevice::new(64, 512))));
+    let engine = engine_on.then(Engine::new);
     let indexer = engine.as_ref().map(|e| {
         hfad_index::LazyIndexer::with_executor(
             Arc::clone(&index),
@@ -1403,7 +1400,7 @@ pub fn e10_query_during_ingest(
     (ingest_elapsed, served, mean_query, drain)
 }
 
-/// E10: the async I/O engine — cold sequential scan throughput with
+/// E10: the background job engine — cold sequential scan throughput with
 /// engine read-ahead off/on, and foreground query service while ingest
 /// rides the engine's Index class vs eager inline indexing.
 pub fn e10_async_engine(scale: Scale) -> Table {
@@ -2189,7 +2186,7 @@ mod tests {
         // Build both ways explicitly and compare postings for the probe term.
         let eager = e10_fulltext(docs);
         let lazy_index = e10_fulltext(0);
-        let engine = Engine::new(Arc::new(MemDevice::new(64, 512)));
+        let engine = Engine::new();
         let lazy = hfad_index::LazyIndexer::with_executor(
             Arc::clone(&lazy_index),
             engine as Arc<dyn hfad_index::BackgroundExecutor>,

@@ -18,8 +18,8 @@ pub enum IndexingMode {
 
 /// Configuration for [`Hfad`](crate::fs::Hfad).
 ///
-/// [`HfadConfig::default()`] is the **full modern stack**: async I/O
-/// engine, write-behind, background checkpointing at a 50% journal
+/// [`HfadConfig::default()`] is the **full modern stack**: background
+/// job engine, write-behind, background checkpointing at a 50% journal
 /// watermark, and both cache tiers. The pre-engine baseline lives on as
 /// [`HfadConfig::seed()`] and is what every experiment's ablation column
 /// measures against.
@@ -70,15 +70,12 @@ pub struct HfadConfig {
     pub lazy_workers: usize,
     /// Eager or lazy full-text indexing.
     pub indexing: IndexingMode,
-    /// Runs the async I/O engine and routes background work through it:
-    /// cache read-ahead rides the `ReadAhead` class, lazy indexing the
+    /// Runs the background job engine and routes background work through
+    /// it: cache read-ahead rides the `ReadAhead` class, lazy indexing the
     /// `Index` class, and journal checkpoints the `WriteBehind` class.
     /// On by default; `false` (the [`seed()`](Self::seed) baseline)
     /// reproduces the seed's ad-hoc-thread behaviour exactly.
     pub engine: bool,
-    /// Worker threads for the engine (`0` uses the engine's default pool
-    /// size). Only meaningful when [`engine`](Self::engine) is on.
-    pub engine_workers: usize,
     /// Starts the watermark-driven dirty-page trickle flusher over the
     /// block cache. Requires [`engine`](Self::engine) and
     /// [`cache_blocks`](Self::cache_blocks) `> 0`; otherwise ignored. It
@@ -101,7 +98,7 @@ pub struct HfadConfig {
     pub backpressure_patience_ms: u64,
     /// Attempt budget for transient device faults (`StorageError::
     /// TransientIo`), applied uniformly to group-commit journal flushes,
-    /// checkpoints and every engine priority class. `0` (the default)
+    /// checkpoints and block-cache read fills. `0` (the default)
     /// keeps each layer's standard policy
     /// ([`hfad_storage::RetryPolicy::standard`]: 5 attempts, exponential
     /// backoff from 1 ms); `1` disables retries; larger values deepen the
@@ -159,7 +156,6 @@ impl HfadConfig {
             lazy_workers: 2,
             indexing: IndexingMode::Lazy,
             engine: false,
-            engine_workers: 0,
             write_behind: false,
             checkpoint_watermark_pct: 0,
             backpressure_patience_ms: 0,

@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use hfad_btree::TreeContext;
 use hfad_engine::{
-    Engine, EngineConfig, EnginePrefetcher, EngineStats, Priority, WriteBehind, WriteBehindConfig,
+    Engine, EnginePrefetcher, EngineStats, Priority, WriteBehind, WriteBehindConfig,
 };
 use hfad_index::{
     FullTextIndex, IndexRegistry, IndexStats, IndexStore, KeyValueIndex, LazyIndexer, Query, Tag,
@@ -27,7 +27,7 @@ use crate::refine::SearchCursor;
 
 /// Aggregate statistics for an hFAD instance: one snapshot covers the
 /// whole stack, from device counters through group commit, background
-/// checkpointing and the async I/O engine.
+/// checkpointing and the background job engine.
 #[derive(Debug, Clone)]
 pub struct HfadStats {
     /// OSD statistics (objects, device counters, allocator, caches).
@@ -38,7 +38,7 @@ pub struct HfadStats {
     pub fulltext_documents: u64,
     /// Backlog of the lazy indexer (0 when eager or idle).
     pub lazy_backlog: u64,
-    /// Async I/O engine counters; `None` when the engine is off.
+    /// Background job engine counters; `None` when the engine is off.
     pub engine: Option<EngineStats>,
     /// Journal checkpoint / commit-stall counters; `None` until a
     /// transactional store has been opened (see
@@ -78,7 +78,7 @@ pub struct Hfad {
     /// non-transactional write paths gate on it (see
     /// [`check_writable`](Self::check_writable)).
     pub(crate) health: Arc<HealthState>,
-    /// The async I/O engine, when [`HfadConfig::engine`] is on. Every
+    /// The background job engine, when [`HfadConfig::engine`] is on. Every
     /// background service above submits into it; the explicit [`Drop`]
     /// impl stops them all first, then calls [`Engine::shutdown`] so the
     /// workers join even when an outliving store handle still holds the
@@ -89,13 +89,12 @@ pub struct Hfad {
 impl Hfad {
     /// Creates (formats) an hFAD file system on `device`.
     ///
-    /// With [`HfadConfig::engine`] on, the async I/O engine is started
-    /// over the **raw** device (beneath the block cache, so cache fills
-    /// and write-backs scheduled through it hit real storage), and every
-    /// background service is routed through its priority classes:
-    /// read-ahead when a cache is configured, the dirty-page flusher when
-    /// [`HfadConfig::write_behind`] is also set, and lazy indexing in
-    /// place of the ad-hoc worker threads.
+    /// With [`HfadConfig::engine`] on, a background job executor is
+    /// started and every background service is routed through its
+    /// priority classes: read-ahead when a cache is configured (prefetch
+    /// jobs fill the cache from the device beneath it), the dirty-page
+    /// flusher when [`HfadConfig::write_behind`] is also set, and lazy
+    /// indexing in place of the ad-hoc worker threads.
     pub fn on_device(device: Arc<dyn BlockDevice>, config: HfadConfig) -> Result<Self> {
         let store = Arc::new(ObjectStore::create(device, config.store_config())?);
         Self::assemble(store, config, None)
@@ -185,23 +184,10 @@ impl Hfad {
     ) -> Result<Self> {
         if let (Some(policy), Some(cache)) = (config.retry_policy(), store.block_cache()) {
             // One knob, every retry site: the cache's read-fill backoff
-            // follows the same budget as group commit and the engine.
+            // follows the same budget as group commit and checkpoints.
             cache.set_read_retry(policy);
         }
-        let engine = config.engine.then(|| {
-            let raw: Arc<dyn BlockDevice> = match store.block_cache() {
-                Some(cache) => Arc::clone(cache.inner()),
-                None => Arc::clone(&store.context().device),
-            };
-            let mut engine_config = EngineConfig::default();
-            if config.engine_workers > 0 {
-                engine_config.workers = config.engine_workers;
-            }
-            if let Some(policy) = config.retry_policy() {
-                engine_config.retry = [policy; 4];
-            }
-            Engine::with_config(raw, engine_config)
-        });
+        let engine = config.engine.then(Engine::new);
         let write_behind = match (&engine, store.block_cache()) {
             (Some(engine), Some(cache)) => {
                 // Sequential-run detection in the cache now feeds
@@ -395,7 +381,7 @@ impl Hfad {
         Ok(self.health.check_writable()?)
     }
 
-    /// The async I/O engine, when [`HfadConfig::engine`] is on.
+    /// The background job engine, when [`HfadConfig::engine`] is on.
     pub fn engine(&self) -> Option<&Arc<Engine>> {
         self.engine.as_ref()
     }
@@ -588,7 +574,7 @@ mod tests {
         let store = Arc::clone(fs.store()); // outlives the instance
         drop(fs);
         let refused = engine
-            .submit_job(hfad_engine::Priority::Foreground, Box::new(|| Ok(())))
+            .submit_job(hfad_engine::Priority::Index, Box::new(|| Ok(())))
             .err();
         assert_eq!(
             refused,
@@ -652,7 +638,6 @@ mod tests {
             HfadConfig {
                 cache_blocks: 1024,
                 engine: true,
-                engine_workers: 2,
                 write_behind: true,
                 ..Default::default()
             },

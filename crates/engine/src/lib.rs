@@ -1,19 +1,19 @@
 //! # hfad-engine
 //!
-//! The asynchronous I/O engine of the hFAD reproduction ("Hierarchical
+//! The background job executor of the hFAD reproduction ("Hierarchical
 //! File Systems Are Dead", Seltzer & Murphy, HotOS 2009).
 //!
 //! The paper's OSD performs its background work — lazy full-text indexing
 //! (§3.4), cache write-back, speculative read-ahead — on ad-hoc threads.
-//! This crate replaces that with one io_uring-shaped engine over the
-//! synchronous [`BlockDevice`](hfad_storage::BlockDevice) trait:
+//! This crate replaces them with one shared worker pool:
 //!
-//! * [`Engine`] — callers submit [`IoOp`]s or opaque jobs tagged with a
-//!   [`Priority`] class and get a [`Completion`] token to wait or poll;
-//!   a worker pool drains a multi-queue scheduler (strict priority plus
-//!   aging, per-block FIFO, flush gates). Per-class admission control
-//!   ([`ClassConfig`]) blocks or rejects submitters at capacity, and
-//!   [`EngineStats`] counts every stage.
+//! * [`Engine`] — callers submit opaque jobs tagged with a [`Priority`]
+//!   class (`WriteBehind > ReadAhead > Index`) and get a [`Completion`]
+//!   token to wait or poll; workers serve the highest non-empty class,
+//!   with aging so background work never starves. Per-class admission
+//!   control ([`ClassConfig`]) sheds read-ahead at capacity and blocks
+//!   the other classes' submitters, and [`EngineStats`] counts every
+//!   stage. Jobs run exactly once; a job that wants retries owns them.
 //! * [`EnginePrefetcher`] — bridges the block cache's sequential-run
 //!   detector to [`Priority::ReadAhead`] prefetch jobs.
 //! * [`WriteBehind`] — watermark-driven dirty-page trickle flusher at
@@ -21,7 +21,9 @@
 //! * Lazy indexing — [`Engine`] implements
 //!   [`hfad_index::BackgroundExecutor`], so a
 //!   [`LazyIndexer`](hfad_index::LazyIndexer) built `with_executor` rides
-//!   the [`Priority::Index`] class with bounded backpressure.
+//!   the [`Priority::Index`] class with bounded backpressure;
+//!   [`Engine::executor`] pins the same seam to another class (the
+//!   journal checkpointer uses `WriteBehind`).
 //!
 //! Experiment E10 (`hfad_bench`) measures the engine against the
 //! synchronous baseline: cold sequential scans with read-ahead and
@@ -34,8 +36,8 @@ mod sched;
 pub mod services;
 pub mod stats;
 
-pub use engine::{AdmissionPolicy, ClassConfig, Engine, EngineConfig};
+pub use engine::{ClassConfig, Engine, EngineConfig};
 pub use error::{EngineError, Result};
-pub use op::{Completion, CompletionResult, IoOp, Priority};
+pub use op::{Completion, CompletionResult, Priority};
 pub use services::{EnginePrefetcher, WriteBehind, WriteBehindConfig};
 pub use stats::{ClassStats, EngineStats};

@@ -1,36 +1,30 @@
-//! Submission-side types: priority classes, I/O ops and completion tokens.
+//! Submission-side types: priority classes and completion tokens.
 
 use std::sync::{Arc, Condvar, Mutex};
 
 use crate::error::EngineError;
 
-/// Priority class of a submitted op, highest first.
+/// Priority class of a submitted job, highest first.
 ///
 /// The scheduler serves classes in this order, with aging (see
-/// [`EngineConfig::aging`](crate::EngineConfig::aging)) promoting ops that
+/// [`EngineConfig::aging`](crate::EngineConfig::aging)) promoting jobs that
 /// have waited too long so sustained high-priority load cannot starve the
 /// background classes forever.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(usize)]
 pub enum Priority {
-    /// Latency-sensitive caller-visible I/O (cache misses, query reads).
-    Foreground = 0,
-    /// Dirty-page trickle flushing ahead of eviction pressure.
-    WriteBehind = 1,
-    /// Speculative sequential prefetch; cheapest to shed under load.
-    ReadAhead = 2,
+    /// Dirty-page trickle flushing and journal checkpoints.
+    WriteBehind = 0,
+    /// Speculative sequential prefetch; the only class that sheds load
+    /// at capacity ([`EngineError::QueueFull`]) instead of blocking.
+    ReadAhead = 1,
     /// Lazy full-text indexing and other deferred maintenance.
-    Index = 3,
+    Index = 2,
 }
 
 impl Priority {
     /// All classes, highest priority first.
-    pub const ALL: [Priority; 4] = [
-        Priority::Foreground,
-        Priority::WriteBehind,
-        Priority::ReadAhead,
-        Priority::Index,
-    ];
+    pub const ALL: [Priority; 3] = [Priority::WriteBehind, Priority::ReadAhead, Priority::Index];
 
     /// Queue index of this class.
     pub fn index(self) -> usize {
@@ -40,41 +34,23 @@ impl Priority {
     /// Human-readable class name (used in stats dumps and experiments).
     pub fn name(self) -> &'static str {
         match self {
-            Priority::Foreground => "foreground",
             Priority::WriteBehind => "write-behind",
             Priority::ReadAhead => "read-ahead",
             Priority::Index => "index",
         }
     }
+
+    /// Whether a submitter at capacity is refused rather than blocked.
+    /// Prefetch is speculative, so shedding it is always safe;
+    /// write-behind and index producers block (bounded backlog).
+    pub(crate) fn sheds_load(self) -> bool {
+        self == Priority::ReadAhead
+    }
 }
 
-/// A block-device operation submitted to the engine.
-///
-/// Ops on the **same block** execute in submission order (per-block FIFO);
-/// ops on different blocks may be reordered by priority and worker timing.
-/// A `Flush` waits for every op submitted before it to complete, then
-/// flushes the device; ops submitted after a flush do not wait for it.
-#[derive(Debug, Clone)]
-pub enum IoOp {
-    /// Read one block; the data arrives on the completion token.
-    Read {
-        /// Block number to read.
-        block: u64,
-    },
-    /// Write one block. The buffer is shared, not copied per-retry.
-    Write {
-        /// Block number to write.
-        block: u64,
-        /// Exactly `block_size` bytes.
-        data: Arc<[u8]>,
-    },
-    /// Flush the device once all previously submitted ops complete.
-    Flush,
-}
-
-/// Result delivered through a [`Completion`]: read data for reads, `None`
-/// for writes, flushes and jobs.
-pub type CompletionResult = Result<Option<Arc<[u8]>>, EngineError>;
+/// Result delivered through a [`Completion`]: the job's own error, or
+/// `Ok(())`.
+pub type CompletionResult = Result<(), EngineError>;
 
 pub(crate) struct CompletionState {
     result: Mutex<Option<CompletionResult>>,
@@ -97,14 +73,14 @@ impl CompletionState {
     }
 }
 
-/// Handle to one submitted op. Wait (blocking) or poll for the outcome;
-/// dropping the token abandons the result without cancelling the op.
+/// Handle to one submitted job. Wait (blocking) or poll for the outcome;
+/// dropping the token abandons the result without cancelling the job.
 pub struct Completion {
     pub(crate) state: Arc<CompletionState>,
 }
 
 impl Completion {
-    /// Blocks until the op completes and returns its result. Subsequent
+    /// Blocks until the job completes and returns its result. Subsequent
     /// calls return the same result again.
     pub fn wait(&self) -> CompletionResult {
         let mut slot = self.state.result.lock().unwrap();
@@ -114,19 +90,12 @@ impl Completion {
         slot.as_ref().unwrap().clone()
     }
 
-    /// Blocks until a read completes and returns its data. Panics if the
-    /// op was not a read (writes/flushes/jobs deliver no data).
-    pub fn wait_read(&self) -> Result<Arc<[u8]>, EngineError> {
-        self.wait()
-            .map(|data| data.expect("wait_read on an op that delivers no data"))
-    }
-
-    /// Returns the result if the op has completed, without blocking.
+    /// Returns the result if the job has completed, without blocking.
     pub fn poll(&self) -> Option<CompletionResult> {
         self.state.result.lock().unwrap().clone()
     }
 
-    /// Whether the op has completed (successfully or not).
+    /// Whether the job has completed (successfully or not).
     pub fn is_done(&self) -> bool {
         self.state.result.lock().unwrap().is_some()
     }

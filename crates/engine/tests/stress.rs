@@ -1,25 +1,21 @@
-//! Engine behaviour under load and under injected faults: priority and
-//! aging bounds, flush-gate ordering, error isolation, graceful shutdown,
-//! and the three background services end to end.
+//! Engine behaviour under load and under failing jobs: priority and
+//! aging bounds, error isolation, graceful shutdown, and the background
+//! services end to end.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use hfad_engine::{
-    ClassConfig, Engine, EngineConfig, EnginePrefetcher, IoOp, Priority, WriteBehind,
-    WriteBehindConfig,
+    ClassConfig, Engine, EngineConfig, EnginePrefetcher, Priority, WriteBehind, WriteBehindConfig,
 };
 use hfad_storage::{BlockDevice, CachedDevice, FaultConfig, FaultDevice, MemDevice, OpFault};
 
-fn mem_engine(workers: usize) -> Arc<Engine> {
-    Engine::with_config(
-        Arc::new(MemDevice::new(256, 512)),
-        EngineConfig {
-            workers,
-            ..Default::default()
-        },
-    )
+fn engine_with_workers(workers: usize) -> Arc<Engine> {
+    Engine::with_config(EngineConfig {
+        workers,
+        ..Default::default()
+    })
 }
 
 fn sleep_job(d: Duration) -> Box<dyn FnOnce() -> hfad_storage::Result<()> + Send> {
@@ -29,24 +25,20 @@ fn sleep_job(d: Duration) -> Box<dyn FnOnce() -> hfad_storage::Result<()> + Send
     })
 }
 
-/// A foreground read jumps ahead of a deep backlog of read-ahead work:
-/// its latency is bounded by the ops already executing, not by the queue.
+/// A write-behind job jumps ahead of a deep backlog of read-ahead work:
+/// its latency is bounded by the jobs already running, not by the queue.
 #[test]
-fn foreground_overtakes_readahead_backlog() {
-    let engine = Engine::with_config(
-        Arc::new(MemDevice::new(256, 512)),
-        EngineConfig {
-            workers: 2,
-            classes: [
-                ClassConfig::blocking(4096),
-                ClassConfig::blocking(1024),
-                // Deep blocking ReadAhead queue so the backlog builds.
-                ClassConfig::blocking(4096),
-                ClassConfig::blocking(1024),
-            ],
-            ..Default::default()
-        },
-    );
+fn writebehind_overtakes_readahead_backlog() {
+    let engine = Engine::with_config(EngineConfig {
+        workers: 2,
+        classes: [
+            ClassConfig { capacity: 1024 },
+            // Deep ReadAhead queue so the backlog builds without shedding.
+            ClassConfig { capacity: 4096 },
+            ClassConfig { capacity: 1024 },
+        ],
+        ..Default::default()
+    });
     let mut background = Vec::new();
     for _ in 0..300 {
         background.push(
@@ -56,40 +48,39 @@ fn foreground_overtakes_readahead_backlog() {
         );
     }
     let started = Instant::now();
-    let token = engine.read(Priority::Foreground, 7).unwrap();
+    let token = engine
+        .submit_job(Priority::WriteBehind, Box::new(|| Ok(())))
+        .unwrap();
     token.wait().unwrap();
     let latency = started.elapsed();
     // 300 queued jobs × 1ms on 2 workers is ≥150ms of backlog; the
-    // foreground read must not wait for it (generous bound for CI noise).
+    // write-behind job must not wait for it (generous bound for CI noise).
     assert!(
         latency < Duration::from_millis(100),
-        "foreground read stalled {latency:?} behind read-ahead backlog"
+        "write-behind job stalled {latency:?} behind read-ahead backlog"
     );
     // Plenty of the backlog is provably still queued at that point.
     assert!(background.iter().filter(|t| !t.is_done()).count() > 50);
     engine.wait_idle();
 }
 
-/// With all four classes loaded and high-priority work arriving
+/// With every class loaded and high-priority work arriving
 /// continuously, aging still gets the lowest class served within its
 /// bound instead of starving it until the flood ends.
 #[test]
 fn aging_bounds_index_latency_with_all_classes_loaded() {
     let aging = Duration::from_millis(5);
-    let engine = Engine::with_config(
-        Arc::new(MemDevice::new(256, 512)),
-        EngineConfig {
-            workers: 1,
-            aging,
-            ..Default::default()
-        },
-    );
-    // Sustained floods: Foreground refills faster than service drains it,
-    // with WriteBehind and ReadAhead load mixed in.
+    let engine = Engine::with_config(EngineConfig {
+        workers: 1,
+        aging,
+        ..Default::default()
+    });
+    // Sustained floods: two WriteBehind flooders refill the top class
+    // faster than service drains it, with ReadAhead load mixed in.
     let stop = Arc::new(AtomicBool::new(false));
     let mut flooders = Vec::new();
     for class in [
-        Priority::Foreground,
+        Priority::WriteBehind,
         Priority::WriteBehind,
         Priority::ReadAhead,
     ] {
@@ -139,47 +130,8 @@ fn aging_bounds_index_latency_with_all_classes_loaded() {
     assert!(promoted > 0, "aging never fired under sustained load");
 }
 
-/// A flush completes only after every op submitted before it.
-#[test]
-fn flush_gates_wait_for_prior_ops() {
-    let device = Arc::new(FaultDevice::new(
-        MemDevice::new(64, 512),
-        FaultConfig {
-            write: OpFault::delay(Duration::from_millis(2)),
-            ..Default::default()
-        },
-    ));
-    let engine = Engine::with_config(
-        device as Arc<dyn BlockDevice>,
-        EngineConfig {
-            workers: 4,
-            ..Default::default()
-        },
-    );
-    let data: Arc<[u8]> = vec![0xAB; 512].into();
-    let writes: Vec<_> = (0..16)
-        .map(|b| {
-            engine
-                .submit(
-                    Priority::WriteBehind,
-                    IoOp::Write {
-                        block: b,
-                        data: Arc::clone(&data),
-                    },
-                )
-                .unwrap()
-        })
-        .collect();
-    let flush = engine.flush(Priority::Foreground).unwrap();
-    flush.wait().unwrap();
-    for (i, w) in writes.iter().enumerate() {
-        assert!(w.is_done(), "flush completed before write {i}");
-    }
-    engine.wait_idle();
-}
-
-/// Injected device errors surface on the op's completion token; the
-/// worker pool survives and keeps serving later ops.
+/// A failing job's device error surfaces on its completion token; the
+/// worker pool survives and keeps serving later jobs.
 #[test]
 fn injected_errors_land_on_tokens_not_workers() {
     let device = Arc::new(FaultDevice::new(
@@ -189,24 +141,17 @@ fn injected_errors_land_on_tokens_not_workers() {
             ..Default::default()
         },
     ));
-    let engine = Engine::with_config(
-        Arc::clone(&device) as Arc<dyn BlockDevice>,
-        EngineConfig {
-            workers: 2,
-            ..Default::default()
-        },
-    );
+    let engine = engine_with_workers(2);
     let data: Arc<[u8]> = vec![0x5A; 512].into();
+    let write_job = |block: u64| {
+        let device = Arc::clone(&device);
+        let data = Arc::clone(&data);
+        Box::new(move || device.write_block(block, &data))
+    };
     let mut failures = 0;
     for round in 0..30u64 {
         let token = engine
-            .submit(
-                Priority::Foreground,
-                IoOp::Write {
-                    block: round % 64,
-                    data: Arc::clone(&data),
-                },
-            )
+            .submit_job(Priority::WriteBehind, write_job(round % 64))
             .unwrap();
         if token.wait().is_err() {
             failures += 1;
@@ -217,33 +162,29 @@ fn injected_errors_land_on_tokens_not_workers() {
     // scheduling instant; quiesce before asserting exact counts.
     engine.wait_idle();
     let stats = engine.stats();
-    assert_eq!(stats.class(Priority::Foreground).failed, 10);
-    assert_eq!(stats.class(Priority::Foreground).completed, 20);
-    // The pool is still fully alive: reads succeed afterwards.
+    assert_eq!(stats.class(Priority::WriteBehind).failed, 10);
+    assert_eq!(stats.class(Priority::WriteBehind).completed, 20);
+    // The pool is still fully alive: later jobs succeed.
     engine
-        .read(Priority::Foreground, 0)
+        .submit_job(Priority::WriteBehind, Box::new(|| Ok(())))
         .unwrap()
         .wait()
         .unwrap();
     engine.wait_idle();
 }
 
-/// Reject-policy classes shed load at capacity and count it.
+/// The ReadAhead class sheds load at capacity and counts it.
 #[test]
 fn readahead_rejects_at_capacity() {
-    let engine = Engine::with_config(
-        Arc::new(MemDevice::new(64, 512)),
-        EngineConfig {
-            workers: 1,
-            classes: [
-                ClassConfig::blocking(4096),
-                ClassConfig::blocking(1024),
-                ClassConfig::rejecting(4),
-                ClassConfig::blocking(1024),
-            ],
-            ..Default::default()
-        },
-    );
+    let engine = Engine::with_config(EngineConfig {
+        workers: 1,
+        classes: [
+            ClassConfig { capacity: 1024 },
+            ClassConfig { capacity: 4 },
+            ClassConfig { capacity: 1024 },
+        ],
+        ..Default::default()
+    });
     let mut accepted = 0u64;
     let mut rejected = 0u64;
     for _ in 0..64 {
@@ -260,47 +201,25 @@ fn readahead_rejects_at_capacity() {
     assert_eq!(stats.class(Priority::ReadAhead).completed, accepted);
 }
 
-/// Shutdown drains everything already admitted — including ops chained
-/// behind busy blocks and pending flush gates — then refuses new work.
+/// Shutdown drains every job already admitted, in every class, then
+/// refuses new work.
 #[test]
-fn shutdown_drains_chains_and_gates() {
-    let device = Arc::new(FaultDevice::new(
-        MemDevice::new(8, 512),
-        FaultConfig {
-            write: OpFault::delay(Duration::from_millis(1)),
-            ..Default::default()
-        },
-    ));
-    let engine = Engine::with_config(
-        Arc::clone(&device) as Arc<dyn BlockDevice>,
-        EngineConfig {
-            workers: 2,
-            ..Default::default()
-        },
-    );
-    // Pile several writes onto the same block (chained) plus a flush gate.
-    let data: Arc<[u8]> = vec![0xC3; 512].into();
-    let mut tokens: Vec<_> = (0..10)
-        .map(|_| {
+fn shutdown_drains_admitted_jobs() {
+    let engine = engine_with_workers(2);
+    let tokens: Vec<_> = (0..10)
+        .map(|i| {
             engine
-                .submit(
-                    Priority::Foreground,
-                    IoOp::Write {
-                        block: 3,
-                        data: Arc::clone(&data),
-                    },
-                )
+                .submit_job(Priority::ALL[i % 3], sleep_job(Duration::from_millis(1)))
                 .unwrap()
         })
         .collect();
-    tokens.push(engine.flush(Priority::Foreground).unwrap());
     engine.shutdown();
     for (i, t) in tokens.iter().enumerate() {
-        assert!(t.is_done(), "op {i} abandoned by shutdown");
+        assert!(t.is_done(), "job {i} abandoned by shutdown");
         t.wait().unwrap();
     }
     assert!(matches!(
-        engine.read(Priority::Foreground, 0),
+        engine.submit_job(Priority::Index, Box::new(|| Ok(()))),
         Err(hfad_engine::EngineError::Shutdown)
     ));
 }
@@ -311,7 +230,7 @@ fn shutdown_drains_chains_and_gates() {
 fn readahead_service_feeds_sequential_scan() {
     let inner = FaultDevice::read_delay(MemDevice::new(128, 512), Duration::from_micros(300));
     let cache = Arc::new(CachedDevice::new(inner, 128));
-    let engine = mem_engine(4);
+    let engine = engine_with_workers(4);
     EnginePrefetcher::attach(Arc::clone(&engine), &cache, 16, 2);
 
     let mut buf = vec![0u8; 512];
@@ -332,7 +251,7 @@ fn readahead_service_feeds_sequential_scan() {
 #[test]
 fn write_behind_service_keeps_dirty_pages_bounded() {
     let cache = Arc::new(CachedDevice::new(MemDevice::new(256, 512), 256));
-    let engine = mem_engine(2);
+    let engine = engine_with_workers(2);
     let mut flusher = WriteBehind::start(
         Arc::clone(&engine),
         Arc::clone(&cache),
@@ -361,127 +280,6 @@ fn write_behind_service_keeps_dirty_pages_bounded() {
     assert!(cache.inner().counters().writes >= 168);
 }
 
-fn fast_retry(max_attempts: u32) -> hfad_storage::RetryPolicy {
-    hfad_storage::RetryPolicy {
-        max_attempts,
-        base: Duration::from_micros(50),
-        cap: Duration::from_micros(400),
-    }
-}
-
-/// Transient device faults are absorbed inside the engine: every op
-/// succeeds on its completion token, the retries are visible only in the
-/// `retried` counter, and per-block FIFO ordering survives (the chained
-/// writes to one block land in submission order even when some attempts
-/// fault).
-#[test]
-fn transient_faults_are_retried_invisibly() {
-    let device = Arc::new(FaultDevice::new(
-        MemDevice::new(64, 512),
-        FaultConfig {
-            write: OpFault::transient_every(3),
-            ..Default::default()
-        },
-    ));
-    let engine = Engine::with_config(
-        Arc::clone(&device) as Arc<dyn BlockDevice>,
-        EngineConfig {
-            workers: 2,
-            retry: [fast_retry(5); 4],
-            ..Default::default()
-        },
-    );
-    // 30 sequential writes to one block: a FIFO chain with faults inside.
-    let tokens: Vec<_> = (0..30u8)
-        .map(|i| {
-            let data: Arc<[u8]> = vec![i; 512].into();
-            engine
-                .submit(Priority::Foreground, IoOp::Write { block: 7, data })
-                .unwrap()
-        })
-        .collect();
-    for token in tokens {
-        token.wait().expect("transient faults must be absorbed");
-    }
-    engine.wait_idle();
-    let stats = engine.stats();
-    let fg = stats.class(Priority::Foreground);
-    assert_eq!(fg.failed, 0, "no caller-visible failures");
-    assert_eq!(fg.completed, 30);
-    assert!(fg.retried >= 10, "every 3rd attempt faulted: {fg:?}");
-    assert_eq!(fg.gave_up, 0);
-    // FIFO held: the block's final contents are the last write's.
-    let mut buf = vec![0u8; 512];
-    device.inner().read_block(7, &mut buf).unwrap();
-    assert!(buf.iter().all(|&b| b == 29), "last write wins: {}", buf[0]);
-    let (_, injected, _) = device.injected_errors();
-    assert_eq!(injected, stats.class(Priority::Foreground).retried);
-}
-
-/// A fault that outlives the retry budget surfaces on the token and is
-/// counted as `gave_up`; permanent faults are never retried at all.
-#[test]
-fn retry_budget_exhaustion_and_permanent_faults() {
-    // Every flush fails transiently, forever.
-    let device = Arc::new(FaultDevice::new(
-        MemDevice::new(64, 512),
-        FaultConfig {
-            flush: OpFault::transient_every(1),
-            ..Default::default()
-        },
-    ));
-    let engine = Engine::with_config(
-        Arc::clone(&device) as Arc<dyn BlockDevice>,
-        EngineConfig {
-            workers: 2,
-            retry: [fast_retry(3); 4],
-            ..Default::default()
-        },
-    );
-    let err = engine
-        .flush(Priority::Foreground)
-        .unwrap()
-        .wait()
-        .unwrap_err();
-    assert!(err.is_transient(), "last transient error surfaces: {err}");
-    engine.wait_idle();
-    let fg = *engine.stats().class(Priority::Foreground);
-    assert_eq!(fg.failed, 1);
-    assert_eq!(fg.gave_up, 1);
-    assert_eq!(fg.retried, 2, "3 attempts = 2 retries");
-    drop(engine);
-
-    // Permanent faults fail fast: one attempt, no retries, no gave_up.
-    let device = Arc::new(FaultDevice::new(
-        MemDevice::new(64, 512),
-        FaultConfig {
-            write: OpFault::error_every(1),
-            ..Default::default()
-        },
-    ));
-    let engine = Engine::with_config(
-        Arc::clone(&device) as Arc<dyn BlockDevice>,
-        EngineConfig {
-            workers: 2,
-            retry: [fast_retry(5); 4],
-            ..Default::default()
-        },
-    );
-    let data: Arc<[u8]> = vec![1u8; 512].into();
-    let err = engine
-        .submit(Priority::Foreground, IoOp::Write { block: 0, data })
-        .unwrap()
-        .wait()
-        .unwrap_err();
-    assert!(!err.is_transient());
-    engine.wait_idle();
-    let fg = *engine.stats().class(Priority::Foreground);
-    assert_eq!(fg.failed, 1);
-    assert_eq!(fg.retried, 0);
-    assert_eq!(fg.gave_up, 0);
-    assert_eq!(device.injected_errors().1, 1, "exactly one device attempt");
-}
-
 /// Background-service satellite: errors inside EnginePrefetcher and
 /// WriteBehind jobs do not vanish — they land in the class's `failed`
 /// counter while the services keep running.
@@ -497,7 +295,7 @@ fn background_service_errors_are_counted_not_swallowed() {
         },
     );
     let cache = Arc::new(CachedDevice::new(faulty, 256));
-    let engine = mem_engine(2);
+    let engine = engine_with_workers(2);
     let mut flusher = WriteBehind::start(
         Arc::clone(&engine),
         Arc::clone(&cache),
@@ -534,7 +332,7 @@ fn background_service_errors_are_counted_not_swallowed() {
         },
     );
     let cache = Arc::new(CachedDevice::new(faulty, 32));
-    let engine = mem_engine(2);
+    let engine = engine_with_workers(2);
     EnginePrefetcher::attach(Arc::clone(&engine), &cache, 16, 2);
     let mut buf = vec![0u8; 512];
     let deadline = Instant::now() + Duration::from_secs(10);

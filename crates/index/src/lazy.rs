@@ -16,12 +16,12 @@
 //!   the item (rejections are counted in [`LazyStats::rejected`]).
 //! * **Shared executor** ([`LazyIndexer::with_executor`]) — no private
 //!   threads; each work item is submitted to a [`BackgroundExecutor`]
-//!   (in practice the async I/O engine's `Index` priority class), so
+//!   (in practice the background job engine's `Index` priority class), so
 //!   indexing shares one scheduler with read-ahead and write-behind and
 //!   inherits the executor's bounded admission as its backpressure.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 use crossbeam::channel::{bounded, unbounded, Sender, TrySendError};
@@ -94,6 +94,58 @@ pub struct LazyStats {
     pub rejected: u64,
 }
 
+/// Item counters shared with the workers or jobs, plus the wake-up
+/// [`LazyIndexer::drain`] blocks on.
+///
+/// The counters are `SeqCst` so that of two items finishing at once, the
+/// later one sees both increments and notifies. `enqueued` grows only after
+/// an item is handed off, so it may briefly trail `completed + failed`.
+#[derive(Default)]
+struct Progress {
+    enqueued: AtomicU64,
+    completed: AtomicU64,
+    failed: AtomicU64,
+    /// Number of threads blocked in `drain`.
+    drainers: Mutex<usize>,
+    drained: Condvar,
+}
+
+impl Progress {
+    fn is_drained(&self) -> bool {
+        let done = self.completed.load(Ordering::SeqCst) + self.failed.load(Ordering::SeqCst);
+        done >= self.enqueued.load(Ordering::SeqCst)
+    }
+
+    /// Counts one processed item. Only the item that catches the counters
+    /// up with `enqueued` takes the lock, and it notifies only when a
+    /// drainer is waiting.
+    fn finish<T, E>(&self, outcome: std::result::Result<T, E>) {
+        let counter = if outcome.is_ok() {
+            &self.completed
+        } else {
+            &self.failed
+        };
+        counter.fetch_add(1, Ordering::SeqCst);
+        // The lock guards a plain count, valid at every step, so a
+        // poisoned one is still usable.
+        if self.is_drained() && *self.drainers.lock().unwrap_or_else(PoisonError::into_inner) > 0 {
+            self.drained.notify_all();
+        }
+    }
+
+    fn wait_drained(&self) {
+        let mut drainers = self.drainers.lock().unwrap_or_else(PoisonError::into_inner);
+        *drainers += 1;
+        while !self.is_drained() {
+            drainers = self
+                .drained
+                .wait(drainers)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        *drainers -= 1;
+    }
+}
+
 enum Backend {
     Pool {
         sender: Option<Sender<WorkItem>>,
@@ -110,10 +162,8 @@ enum Backend {
 pub struct LazyIndexer {
     index: Arc<FullTextIndex>,
     backend: Backend,
-    enqueued: AtomicU64,
+    progress: Arc<Progress>,
     rejected: AtomicU64,
-    completed: Arc<AtomicU64>,
-    failed: Arc<AtomicU64>,
 }
 
 impl LazyIndexer {
@@ -140,29 +190,19 @@ impl LazyIndexer {
             // configured work capacity, so `shutdown` never blocks.
             bounded::<WorkItem>(config.capacity + workers)
         };
-        let completed = Arc::new(AtomicU64::new(0));
-        let failed = Arc::new(AtomicU64::new(0));
+        let progress = Arc::new(Progress::default());
         let mut handles = Vec::with_capacity(workers);
         for _ in 0..workers {
             let receiver = receiver.clone();
             let index = Arc::clone(&index);
-            let completed = Arc::clone(&completed);
-            let failed = Arc::clone(&failed);
+            let progress = Arc::clone(&progress);
             handles.push(std::thread::spawn(move || {
                 while let Ok(item) = receiver.recv() {
                     match item {
                         WorkItem::Index { oid, text } => {
-                            match index.index_document(oid, &text) {
-                                Ok(_) => completed.fetch_add(1, Ordering::Relaxed),
-                                Err(_) => failed.fetch_add(1, Ordering::Relaxed),
-                            };
+                            progress.finish(index.index_document(oid, &text))
                         }
-                        WorkItem::Remove { oid } => {
-                            match index.remove_document(oid) {
-                                Ok(_) => completed.fetch_add(1, Ordering::Relaxed),
-                                Err(_) => failed.fetch_add(1, Ordering::Relaxed),
-                            };
-                        }
+                        WorkItem::Remove { oid } => progress.finish(index.remove_document(oid)),
                         WorkItem::Shutdown => break,
                     }
                 }
@@ -175,10 +215,8 @@ impl LazyIndexer {
                 workers: handles,
                 policy: config.policy,
             },
-            enqueued: AtomicU64::new(0),
+            progress,
             rejected: AtomicU64::new(0),
-            completed,
-            failed,
         }
     }
 
@@ -193,10 +231,8 @@ impl LazyIndexer {
                 executor,
                 stopped: AtomicBool::new(false),
             },
-            enqueued: AtomicU64::new(0),
+            progress: Arc::new(Progress::default()),
             rejected: AtomicU64::new(0),
-            completed: Arc::new(AtomicU64::new(0)),
-            failed: Arc::new(AtomicU64::new(0)),
         }
     }
 
@@ -229,8 +265,7 @@ impl LazyIndexer {
                     return Err(IndexError::IndexerStopped);
                 }
                 let index = Arc::clone(&self.index);
-                let completed = Arc::clone(&self.completed);
-                let failed = Arc::clone(&self.failed);
+                let progress = Arc::clone(&self.progress);
                 let job: Box<dyn FnOnce() + Send> = Box::new(move || {
                     let outcome = match item {
                         WorkItem::Index { oid, text } => {
@@ -239,10 +274,7 @@ impl LazyIndexer {
                         WorkItem::Remove { oid } => index.remove_document(oid).map(|_| ()),
                         WorkItem::Shutdown => Ok(()),
                     };
-                    match outcome {
-                        Ok(()) => completed.fetch_add(1, Ordering::Relaxed),
-                        Err(_) => failed.fetch_add(1, Ordering::Relaxed),
-                    };
+                    progress.finish(outcome);
                 });
                 executor.submit_background(job).map_err(|e| match e {
                     SubmitError::Full => {
@@ -253,7 +285,7 @@ impl LazyIndexer {
                 })?;
             }
         }
-        self.enqueued.fetch_add(1, Ordering::Relaxed);
+        self.progress.enqueued.fetch_add(1, Ordering::SeqCst);
         Ok(())
     }
 
@@ -275,22 +307,23 @@ impl LazyIndexer {
     /// Number of items accepted but not yet processed.
     pub fn backlog(&self) -> u64 {
         let s = self.stats();
-        s.enqueued - s.completed - s.failed
+        // An item can finish before its `enqueued` increment lands.
+        s.enqueued.saturating_sub(s.completed + s.failed)
     }
 
-    /// Blocks until every item enqueued so far has been processed.
+    /// Blocks (without spinning) until every item enqueued so far has been
+    /// processed, successfully or not.
     pub fn drain(&self) {
-        while self.backlog() > 0 {
-            std::thread::yield_now();
-        }
+        self.progress.wait_drained();
     }
 
     /// Progress counters.
     pub fn stats(&self) -> LazyStats {
+        let p = &self.progress;
         LazyStats {
-            enqueued: self.enqueued.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            failed: self.failed.load(Ordering::Relaxed),
+            enqueued: p.enqueued.load(Ordering::SeqCst),
+            completed: p.completed.load(Ordering::SeqCst),
+            failed: p.failed.load(Ordering::SeqCst),
             rejected: self.rejected.load(Ordering::Relaxed),
         }
     }
@@ -330,7 +363,7 @@ mod tests {
     use std::sync::Arc;
 
     use hfad_btree::TreeContext;
-    use hfad_storage::{BuddyAllocator, MemDevice};
+    use hfad_storage::{BlockDevice, BuddyAllocator, DeviceCounters, MemDevice, StorageError};
 
     use super::*;
 
@@ -506,6 +539,131 @@ mod tests {
             indexer.enqueue(ObjectId(3), "after stop"),
             Err(IndexError::IndexerStopped)
         ));
+    }
+
+    /// Executor that runs each job on a fresh thread, so `drain` really
+    /// has to wait for it.
+    #[derive(Default)]
+    struct ThreadExecutor {
+        threads: std::sync::Mutex<Vec<JoinHandle<()>>>,
+    }
+
+    impl BackgroundExecutor for ThreadExecutor {
+        fn submit_background(
+            &self,
+            job: Box<dyn FnOnce() + Send>,
+        ) -> std::result::Result<(), SubmitError> {
+            self.threads.lock().unwrap().push(std::thread::spawn(job));
+            Ok(())
+        }
+    }
+
+    /// Device whose writes, once `failing` is set, park until the gate
+    /// opens and then fail: it holds an item in flight while `drain`
+    /// waits for it.
+    struct FailGateDevice {
+        inner: MemDevice,
+        failing: AtomicBool,
+        open: Mutex<bool>,
+        opened: Condvar,
+    }
+
+    impl FailGateDevice {
+        fn new() -> Self {
+            FailGateDevice {
+                inner: MemDevice::new(65536, 512),
+                failing: AtomicBool::new(false),
+                open: Mutex::new(false),
+                opened: Condvar::new(),
+            }
+        }
+
+        fn open_gate(&self) {
+            *self.open.lock().unwrap() = true;
+            self.opened.notify_all();
+        }
+    }
+
+    impl BlockDevice for FailGateDevice {
+        fn block_size(&self) -> usize {
+            self.inner.block_size()
+        }
+        fn block_count(&self) -> u64 {
+            self.inner.block_count()
+        }
+        fn read_block(&self, block: u64, buf: &mut [u8]) -> hfad_storage::Result<()> {
+            self.inner.read_block(block, buf)
+        }
+        fn write_block(&self, block: u64, buf: &[u8]) -> hfad_storage::Result<()> {
+            if !self.failing.load(Ordering::SeqCst) {
+                return self.inner.write_block(block, buf);
+            }
+            let mut open = self.open.lock().unwrap();
+            while !*open {
+                open = self.opened.wait(open).unwrap();
+            }
+            Err(StorageError::Io("injected write failure".into()))
+        }
+        fn flush(&self) -> hfad_storage::Result<()> {
+            self.inner.flush()
+        }
+        fn counters(&self) -> DeviceCounters {
+            self.inner.counters()
+        }
+    }
+
+    /// `drain` must wake when the backlog empties through a failure, in
+    /// both backends: the last item is held in flight while `drain`
+    /// blocks, then fails and is counted as `failed`, not `completed`.
+    #[test]
+    fn drain_wakes_when_the_last_item_fails() {
+        for use_executor in [false, true] {
+            let device = Arc::new(FailGateDevice::new());
+            let allocator = Arc::new(BuddyAllocator::new(1, 65535));
+            let ctx = TreeContext::new(Arc::clone(&device) as Arc<dyn BlockDevice>, allocator);
+            let index = Arc::new(FullTextIndex::new(ctx, 4).unwrap());
+            let executor = Arc::new(ThreadExecutor::default());
+            let indexer = Arc::new(if use_executor {
+                LazyIndexer::with_executor(
+                    index,
+                    Arc::clone(&executor) as Arc<dyn BackgroundExecutor>,
+                )
+            } else {
+                LazyIndexer::new(index, 2)
+            });
+            for i in 0..10u64 {
+                indexer
+                    .enqueue(ObjectId(i), format!("healthy item {i}"))
+                    .unwrap();
+            }
+            indexer.drain();
+            device.failing.store(true, Ordering::SeqCst);
+            indexer.enqueue(ObjectId(10), "doomed item").unwrap();
+
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            let drainer = Arc::clone(&indexer);
+            let drainer = std::thread::spawn(move || {
+                drainer.drain();
+                let _ = done_tx.send(());
+            });
+            // The doomed item is parked in the device, so drain must block.
+            let wait = |ms| done_rx.recv_timeout(std::time::Duration::from_millis(ms));
+            assert!(wait(50).is_err(), "drain returned with an item in flight");
+            device.open_gate();
+            assert!(
+                wait(10_000).is_ok(),
+                "drain never woke after a failed last item (executor: {use_executor})"
+            );
+            let stats = indexer.stats();
+            assert_eq!(stats.enqueued, 11);
+            assert_eq!(stats.completed, 10);
+            assert_eq!(stats.failed, 1);
+            assert_eq!(indexer.backlog(), 0);
+            drainer.join().unwrap();
+            for job in executor.threads.lock().unwrap().drain(..) {
+                job.join().unwrap();
+            }
+        }
     }
 
     #[test]

@@ -268,8 +268,16 @@ impl Object {
     }
 
     /// Writes `data` into an extent's storage starting `from` bytes into the
-    /// extent. Partial blocks at the edges are read-modified-written.
-    fn write_extent_data(&self, value: &ExtentValue, from: u64, data: &[u8]) -> Result<()> {
+    /// extent. Partial blocks at the edges are read-modified-written, except
+    /// in a `fresh` (just allocated) extent: it holds no data yet, so its
+    /// partial tail block is zero-filled instead of read back.
+    fn write_extent_data(
+        &self,
+        value: &ExtentValue,
+        from: u64,
+        data: &[u8],
+        fresh: bool,
+    ) -> Result<()> {
         debug_assert!(from + data.len() as u64 <= value.alloc_blocks * self.block_size as u64);
         let device = &self.tree.context().device;
         let bs = self.block_size as u64;
@@ -280,7 +288,7 @@ impl Object {
             let block = value.start_block + pos / bs;
             let in_block = (pos % bs) as usize;
             let chunk = (data.len() - written).min(self.block_size - in_block);
-            if in_block != 0 || chunk != self.block_size {
+            if !fresh && (in_block != 0 || chunk != self.block_size) {
                 device.read_block(block, &mut block_buf)?;
             } else {
                 block_buf.iter_mut().for_each(|b| *b = 0);
@@ -299,7 +307,7 @@ impl Object {
         while !remaining.is_empty() {
             let chunk_len = (remaining.len() as u64).min(self.max_extent_bytes);
             let value = self.alloc_extent(chunk_len)?;
-            self.write_extent_data(&value, 0, &remaining[..chunk_len as usize])?;
+            self.write_extent_data(&value, 0, &remaining[..chunk_len as usize], true)?;
             self.tree.insert(&extent_key(offset), &value.encode())?;
             offset += chunk_len;
             remaining = &remaining[chunk_len as usize..];
@@ -320,7 +328,7 @@ impl Object {
         head.byte_len = split_off;
         self.tree.insert(&extent_key(start), &head.encode())?;
         let tail = self.alloc_extent(tail_len)?;
-        self.write_extent_data(&tail, 0, &tail_data)?;
+        self.write_extent_data(&tail, 0, &tail_data, true)?;
         self.tree
             .insert(&extent_key(start + split_off), &tail.encode())?;
         Ok(())
@@ -368,6 +376,7 @@ impl Object {
                 &value,
                 lo - start,
                 &data[(lo - offset) as usize..(hi - offset) as usize],
+                false,
             )?;
             covered.push((lo, hi));
         }
@@ -507,7 +516,7 @@ mod tests {
     use std::sync::Arc;
 
     use hfad_btree::TreeContext;
-    use hfad_storage::{Allocator, BuddyAllocator, MemDevice};
+    use hfad_storage::{Allocator, BlockDevice, BuddyAllocator, MemDevice};
 
     use super::*;
 
@@ -522,6 +531,38 @@ mod tests {
             max_extent,
         )
         .unwrap()
+    }
+
+    #[test]
+    fn fresh_extent_tail_is_zero_filled_without_a_device_read() {
+        let device = Arc::new(MemDevice::new(16384, 512));
+        let allocator = Arc::new(BuddyAllocator::new(1, 16383));
+        let ctx = TreeContext::new(
+            Arc::clone(&device) as Arc<dyn BlockDevice>,
+            Arc::clone(&allocator) as Arc<dyn Allocator>,
+        )
+        .with_node_cache(64);
+        let mut obj =
+            Object::create(ObjectId(1), ctx, ObjectMeta::new(0, 0, 0o644, 1), 4096).unwrap();
+        // Leave stale bytes in a block, then free it for reuse.
+        let stale = allocator.allocate(1).unwrap();
+        device.write_block(stale.start, &[0xEE; 512]).unwrap();
+        allocator.free(stale).unwrap();
+
+        let before = device.counters();
+        obj.write(0, &[0x42; 100]).unwrap();
+        let extents = obj.all_extents().unwrap();
+        assert_eq!(extents.len(), 1);
+        assert_eq!(extents[0].1.start_block, stale.start, "freed block reused");
+        assert_eq!(
+            device.counters().delta_since(&before).reads,
+            0,
+            "a fresh extent's tail must not be read back"
+        );
+        let mut block = vec![0u8; 512];
+        device.read_block(stale.start, &mut block).unwrap();
+        assert!(block[..100].iter().all(|&b| b == 0x42));
+        assert!(block[100..].iter().all(|&b| b == 0), "stale tail zeroed");
     }
 
     #[test]

@@ -1209,7 +1209,7 @@ mod tests {
             open: AtomicBool,
         }
         impl GatedReadDevice {
-            fn await_reader(&self) {
+            fn until_read_entered(&self) {
                 let mut entered = self.entered.lock().unwrap();
                 while !*entered {
                     entered = self.entered_cv.wait(entered).unwrap();
@@ -1272,7 +1272,7 @@ mod tests {
                 out
             })
         };
-        dev.inner().await_reader();
+        dev.inner().until_read_entered();
         // Newer data arrives (poisoning the flight) and is immediately
         // evicted back to the device: capacity 2, two more installs push
         // block 5 out, writing 0xA5 to the device.

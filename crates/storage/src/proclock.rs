@@ -424,9 +424,17 @@ mod tests {
         let writer = std::thread::spawn(move || {
             ProcLock::acquire_timeout(&writer_store, LockMode::Exclusive, Duration::from_secs(2))
         });
-        // Let the writer win queue.lock + writer.lock and settle into the
-        // reader-drain poll loop, then break its next `live_readers` call.
-        std::thread::sleep(Duration::from_millis(100));
+        // Wait for the writer to win queue.lock + writer.lock — by then it
+        // has created the readers dir and is in the reader-drain poll
+        // loop — then break its next `live_readers` call.
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while !dir.join("writer.lock").exists() {
+            assert!(
+                Instant::now() < deadline,
+                "the writer never took writer.lock"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
         fs::remove_dir_all(dir.join("readers")).unwrap();
         let res = writer.join().unwrap();
         assert!(

@@ -11,8 +11,9 @@
 //! * [`index`] — the extensible index stores.
 //! * [`btree`] — the B+tree substrate.
 //! * [`storage`] — devices, allocators, extents, journal.
-//! * [`engine`] — the async I/O engine (submission/completion queues,
-//!   priority scheduler, read-ahead/write-behind/lazy-index services).
+//! * [`engine`] — the background job executor (priority classes with
+//!   aging and bounded admission, read-ahead/write-behind/lazy-index
+//!   services).
 //! * [`hierfs`] — the hierarchical baseline used in experiments.
 //! * [`workload`] — synthetic corpora and distributions.
 
